@@ -5,11 +5,12 @@
 //!   of two locked-circuit copies with shared inputs and independent keys
 //!   yields *distinguishing input patterns* (DIPs); each DIP is resolved
 //!   against the oracle and added as an IO constraint until no DIP remains,
-//!   at which point any consistent key is functionally correct. The default
-//!   [`DipMode::Incremental`](sat_attack::DipMode) keeps one persistent
-//!   solver (learned clauses included) across all DIP iterations and key
-//!   extraction; a conflict and iteration budget reproduces the paper's
-//!   48-hour timeout at this scale.
+//!   at which point any consistent key is functionally correct. One
+//!   persistent solver (learned clauses included) serves all DIP iterations
+//!   and key extraction; a conflict and iteration budget reproduces the
+//!   paper's 48-hour timeout at this scale.
+//!   [`scratch_reference_attack`] is the rebuild-per-iteration loop of \[6\]
+//!   it is measured against.
 //! * [`cyclic_reduction`] — the preprocessing of \[26\]: combinational cycles
 //!   introduced by eFPGA routing are cut before encoding, mirroring how an
 //!   attacker rules out cyclical configurations. Cutting can sever paths the
@@ -35,9 +36,8 @@ pub mod structural;
 pub use cyclic::{cyclic_reduction, cyclic_reduction_budgeted, CyclicReductionReport};
 pub use removal::{removal_attack, RemovalOutcome};
 pub use sat_attack::{
-    sat_attack, sat_attack_report, scan_frame, try_scan_frame, xor_lock_cells,
-    xor_lock_outputs, AttackCheckpoint,
-    AttackReport, DipCost, DipMode, SatAttackOptions, SatAttackOutcome, ScanError,
-    DEFAULT_CONFLICT_QUOTA,
+    sat_attack, sat_attack_report, scan_frame, scratch_reference_attack, try_scan_frame,
+    xor_lock_cells, xor_lock_outputs, AttackCheckpoint, AttackReport, DipCost,
+    SatAttackOptions, SatAttackOutcome, ScanError, DEFAULT_CONFLICT_QUOTA,
 };
 pub use structural::{structural_mux_attack, structural_mux_attack_budgeted, StructuralReport};

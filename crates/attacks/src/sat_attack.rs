@@ -8,23 +8,25 @@
 //! remaining key candidate is functionally correct; one is extracted and
 //! verified.
 //!
-//! The DIP loop runs in one of two modes ([`DipMode`]). The default,
-//! [`DipMode::Incremental`], keeps **one persistent solver** for the whole
+//! [`sat_attack_report`] keeps **one persistent solver** for the whole
 //! attack: the miter is encoded once with its difference clause gated behind
 //! an activation literal, each DIP appends two IO-pinned circuit copies to
 //! the same solver, and learned clauses plus VSIDS/phase state carry across
 //! iterations. Key extraction flips the activation literal on that same
-//! solver instead of building another one. [`DipMode::Scratch`] rebuilds the
-//! solver from the DIP prefix every iteration — the pre-incremental
-//! reference behavior, kept for benchmarking (`bench_sat`) and as a
-//! cross-check oracle in tests.
+//! solver instead of building another one.
 //!
-//! Either way each iteration is a pure function of the DIP prefix, which is
-//! the property the checkpoint format depends on: a resumed incremental run
-//! *replays* the prefix solves deterministically from iteration 0 (using the
-//! recorded oracle responses, so the oracle is not re-queried), arriving at
-//! the exact solver state the interrupted run had — and therefore at the
-//! same key, conflict totals, and byte-identical report JSON.
+//! [`scratch_reference_attack`] is the textbook loop of \[6\]: it rebuilds
+//! the solver from the DIP prefix every iteration. It has no checkpoint and
+//! no resume; `bench_sat` and the tests measure the persistent solver
+//! against it (same key, no more DIP conflicts).
+//!
+//! Each iteration of the persistent loop is a pure function of the DIP
+//! prefix, which is the property the checkpoint format depends on: a
+//! resumed run *replays* the prefix solves deterministically from iteration
+//! 0 (using the recorded oracle responses, so the oracle is not re-queried),
+//! arriving at the exact solver state the interrupted run had — and
+//! therefore at the same key, conflict totals, and byte-identical report
+//! JSON.
 //!
 //! Sequential designs enter through [`scan_frame`], matching the paper's
 //! full-scan threat model: flip-flop outputs become scannable pseudo-inputs
@@ -46,40 +48,9 @@ use std::time::Instant;
 /// Default conflict quota — the 48-hour stand-in at laptop scale.
 pub const DEFAULT_CONFLICT_QUOTA: u64 = 2_000_000;
 
-/// How the DIP loop manages its solver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DipMode {
-    /// One persistent solver across all DIP iterations and key extraction:
-    /// the miter is encoded once (difference clause gated by an activation
-    /// literal), DIP constraints append incrementally, and learned clauses
-    /// carry over. Resume replays the DIP prefix from iteration 0 to
-    /// rebuild the solver state deterministically.
-    #[default]
-    Incremental,
-    /// Rebuild the solver from the DIP prefix every iteration. Slower, but
-    /// each iteration is trivially independent; used as the benchmark
-    /// baseline and as a differential oracle for the incremental mode.
-    Scratch,
-}
-
-impl DipMode {
-    /// Stable serialization label (checkpoint JSON, bench output).
-    pub fn label(self) -> &'static str {
-        match self {
-            DipMode::Incremental => "incremental",
-            DipMode::Scratch => "scratch",
-        }
-    }
-
-    /// Inverse of [`DipMode::label`].
-    pub fn from_label(s: &str) -> Option<Self> {
-        match s {
-            "incremental" => Some(DipMode::Incremental),
-            "scratch" => Some(DipMode::Scratch),
-            _ => None,
-        }
-    }
-}
+/// Monte-Carlo vectors a recovered key is checked with by default (and
+/// always by [`scratch_reference_attack`]).
+const DEFAULT_VERIFY_VECTORS: usize = 512;
 
 /// Attack configuration.
 #[derive(Debug, Clone)]
@@ -91,8 +62,6 @@ pub struct SatAttackOptions {
     /// [`DEFAULT_CONFLICT_QUOTA`] conflicts plus whatever deadline
     /// `SHELL_DEADLINE_MS` specifies (see [`Budget::from_env`]).
     pub budget: Budget,
-    /// Solver lifecycle across DIP iterations (see [`DipMode`]).
-    pub mode: DipMode,
     /// Verify the extracted key against the oracle before claiming success.
     pub verify_key: bool,
     /// Vectors for the Monte-Carlo verification of wide designs.
@@ -101,9 +70,9 @@ pub struct SatAttackOptions {
     /// every completed DIP iteration (best-effort: I/O errors are ignored
     /// so a full disk cannot kill the attack).
     pub checkpoint_path: Option<PathBuf>,
-    /// Resume state from an earlier exhausted run. Scratch mode continues
-    /// from the recorded prefix; incremental mode replays the prefix solves
-    /// first to reconstruct the persistent solver, then continues.
+    /// Resume state from an earlier exhausted run: the prefix solves are
+    /// replayed first to reconstruct the persistent solver, then the attack
+    /// continues.
     pub resume_from: Option<AttackCheckpoint>,
     /// Filesystem seam for checkpoint writes. Production keeps the default
     /// ([`shell_chaos::real`]); the crash-point matrix swaps in a
@@ -116,9 +85,8 @@ impl Default for SatAttackOptions {
         Self {
             max_iterations: 512,
             budget: Budget::from_env().with_quota(DEFAULT_CONFLICT_QUOTA),
-            mode: DipMode::default(),
             verify_key: true,
-            verify_vectors: 512,
+            verify_vectors: DEFAULT_VERIFY_VECTORS,
             checkpoint_path: None,
             resume_from: None,
             checkpoint_io: shell_chaos::real(),
@@ -128,18 +96,13 @@ impl Default for SatAttackOptions {
 
 /// Resumable state of an interrupted SAT attack: the DIP/response prefix
 /// plus spend bookkeeping. The DIP prefix determines the rest of the attack
-/// exactly (in both [`DipMode`]s), so a resumed run produces the same key,
-/// iteration count, and conflict total as an uninterrupted one.
+/// exactly, so a resumed run produces the same key, iteration count, and
+/// conflict total as an uninterrupted one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttackCheckpoint {
     /// Name of the locked design the checkpoint belongs to (sanity-checked
     /// on resume).
     pub design: String,
-    /// The [`DipMode`] that recorded this checkpoint. Resume refuses a
-    /// mode mismatch: the DIP *sequences* of the two modes agree, but their
-    /// budget-spend trajectories do not, so silently crossing modes would
-    /// break the resumed-equals-uninterrupted accounting contract.
-    pub mode: DipMode,
     /// Completed DIP iterations.
     pub iterations: usize,
     /// Solver conflicts spent by the completed iterations. Partial work of
@@ -156,7 +119,6 @@ impl AttackCheckpoint {
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("design", Json::Str(self.design.clone())),
-            ("mode", Json::Str(self.mode.label().to_string())),
             ("iterations", Json::Num(self.iterations as f64)),
             ("conflicts_spent", Json::Num(self.conflicts_spent as f64)),
             (
@@ -174,20 +136,15 @@ impl AttackCheckpoint {
         ])
     }
 
-    /// Parses the [`AttackCheckpoint::to_json`] schema. A missing `mode`
-    /// field (checkpoints from before the incremental attack landed) reads
-    /// as [`DipMode::Scratch`], which is what recorded it back then.
+    /// Parses the [`AttackCheckpoint::to_json`] schema. Unknown fields are
+    /// ignored, so checkpoints that still carry the retired `mode` field
+    /// load and resume as before.
     pub fn from_json(json: &Json) -> Result<Self, String> {
         let design = json
             .get("design")
             .and_then(Json::as_str)
             .ok_or("checkpoint: missing `design`")?
             .to_string();
-        let mode = match json.get("mode").and_then(Json::as_str) {
-            Some(label) => DipMode::from_label(label)
-                .ok_or_else(|| format!("checkpoint: unknown mode `{label}`"))?,
-            None => DipMode::Scratch,
-        };
         let iterations = json
             .get("iterations")
             .and_then(Json::as_usize)
@@ -221,7 +178,6 @@ impl AttackCheckpoint {
         }
         Ok(Self {
             design,
-            mode,
             iterations,
             conflicts_spent,
             dips,
@@ -342,8 +298,7 @@ pub struct AttackReport {
 impl AttackReport {
     /// Deterministic report JSON. Contains only run-invariant fields: a run
     /// resumed from a checkpoint serializes byte-identically to the same
-    /// attack run uninterrupted, and both [`DipMode`]s serialize
-    /// identically when they agree on the DIP sequence.
+    /// attack run uninterrupted.
     pub fn to_json(&self) -> Json {
         let (status, key, iterations, conflicts) = match &self.outcome {
             SatAttackOutcome::Broken {
@@ -523,10 +478,11 @@ pub fn scan_frame(netlist: &Netlist) -> Netlist {
 ///
 /// Because every key bit is independently observable at its own output,
 /// **exactly one** key is functionally correct. That makes this lock the
-/// determinism yardstick for the attack modes: any sound attack must
-/// recover this exact key, so `bench_sat` and the cross-mode tests can
-/// compare recovered keys bit-for-bit. (Contrast with internal-node XOR
-/// locks, where chained inversions can cancel and many keys are correct.)
+/// determinism yardstick for the attack loops: any sound attack must
+/// recover this exact key, so `bench_sat` and the tests can compare the
+/// keys of [`sat_attack_report`] and [`scratch_reference_attack`]
+/// bit-for-bit. (Contrast with internal-node XOR locks, where chained
+/// inversions can cancel and many keys are correct.)
 ///
 /// Returns the locked netlist and the unique correct key.
 pub fn xor_lock_outputs(oracle: &Netlist, bits: usize) -> (Netlist, Vec<bool>) {
@@ -606,22 +562,12 @@ pub fn sat_attack(
     sat_attack_report(locked, oracle, options).outcome
 }
 
-/// The full attack driver: [`sat_attack`] plus progress accounting,
-/// per-iteration checkpointing, and resume. Dispatches on
-/// [`SatAttackOptions::mode`]; both modes walk the same DIP sequence and
-/// emit identical report JSON (see the [module docs](self)).
-///
-/// # Panics
-///
-/// Panics on shape mismatches, non-combinational inputs, or a resume
-/// checkpoint recorded for a different design name or [`DipMode`].
-pub fn sat_attack_report(
-    locked: &Netlist,
-    oracle: &Netlist,
-    options: &SatAttackOptions,
-) -> AttackReport {
-    let _span = shell_trace::span!("attack.sat");
-    assert!(locked.is_combinational(), "scan_frame the locked design first");
+/// The shape preconditions shared by both DIP loops.
+fn assert_attackable(locked: &Netlist, oracle: &Netlist) {
+    assert!(
+        locked.is_combinational(),
+        "scan_frame the locked design first"
+    );
     assert!(oracle.is_combinational(), "scan_frame the oracle first");
     assert!(oracle.key_inputs().is_empty(), "oracle must be activated");
     assert_eq!(
@@ -634,24 +580,6 @@ pub fn sat_attack_report(
         oracle.outputs().len(),
         "output shape mismatch"
     );
-    if let Some(cp) = &options.resume_from {
-        assert_eq!(
-            cp.design,
-            locked.name(),
-            "resume checkpoint was recorded for a different design"
-        );
-        assert_eq!(
-            cp.mode,
-            options.mode,
-            "resume checkpoint was recorded by a {} run, not {}",
-            cp.mode.label(),
-            options.mode.label()
-        );
-    }
-    match options.mode {
-        DipMode::Incremental => incremental_attack(locked, oracle, options),
-        DipMode::Scratch => scratch_attack(locked, oracle, options),
-    }
 }
 
 /// Writes a best-effort checkpoint; `None` when checkpointing is off or the
@@ -666,7 +594,6 @@ fn write_checkpoint(
     let path = options.checkpoint_path.as_ref()?;
     let cp = AttackCheckpoint {
         design: locked.name().to_string(),
-        mode: options.mode,
         iterations,
         conflicts_spent: conflicts,
         dips: dips.to_vec(),
@@ -696,12 +623,13 @@ fn pin_dip_copy(
 }
 
 /// Builds the final report once the miter goes UNSAT and a key candidate
-/// has been extracted (or not).
+/// has been extracted (or not). `verify_vectors` is `None` when the key is
+/// to be reported without checking it against the oracle.
 #[allow(clippy::too_many_arguments)]
 fn unsat_report(
     locked: &Netlist,
     oracle: &Netlist,
-    options: &SatAttackOptions,
+    verify_vectors: Option<usize>,
     key: Option<Vec<bool>>,
     iterations: usize,
     conflicts: u64,
@@ -712,7 +640,7 @@ fn unsat_report(
 ) -> AttackReport {
     let outcome = match key {
         Some(key) => {
-            if !options.verify_key || verify_key(locked, oracle, &key, options.verify_vectors) {
+            if verify_vectors.is_none_or(|vectors| verify_key(locked, oracle, &key, vectors)) {
                 SatAttackOutcome::Broken {
                     key,
                     iterations,
@@ -738,7 +666,8 @@ fn unsat_report(
     }
 }
 
-/// The persistent-solver DIP loop ([`DipMode::Incremental`]).
+/// The full attack driver: [`sat_attack`] plus progress accounting,
+/// per-iteration checkpointing, and resume, on one persistent solver.
 ///
 /// One gated miter is encoded once; every iteration solves under the
 /// `+activation` assumption, appends the found DIP's two IO-pinned copies,
@@ -748,11 +677,25 @@ fn unsat_report(
 /// responses are reused, and checkpoint writes are suppressed until the
 /// replay passes the prefix, protecting the on-disk checkpoint from a
 /// mid-replay crash.
-fn incremental_attack(
+///
+/// # Panics
+///
+/// Panics on shape mismatches, non-combinational inputs, or a resume
+/// checkpoint recorded for a different design name.
+pub fn sat_attack_report(
     locked: &Netlist,
     oracle: &Netlist,
     options: &SatAttackOptions,
 ) -> AttackReport {
+    let _span = shell_trace::span!("attack.sat");
+    assert_attackable(locked, oracle);
+    if let Some(cp) = &options.resume_from {
+        assert_eq!(
+            cp.design,
+            locked.name(),
+            "resume checkpoint was recorded for a different design"
+        );
+    }
     let replay: &[(Vec<bool>, Vec<bool>)] = options
         .resume_from
         .as_ref()
@@ -814,7 +757,7 @@ fn incremental_attack(
                 return unsat_report(
                     locked,
                     oracle,
-                    options,
+                    options.verify_key.then_some(options.verify_vectors),
                     key,
                     iterations,
                     conflicts,
@@ -899,27 +842,37 @@ fn incremental_attack(
     }
 }
 
-/// The rebuild-per-iteration DIP loop ([`DipMode::Scratch`]): every
-/// iteration encodes a fresh solver with the miter plus one IO-pinned copy
-/// pair per recorded DIP. Resume continues from the recorded prefix
-/// directly (nothing to replay — the next iteration rebuilds from the
-/// prefix anyway).
-fn scratch_attack(
+/// The textbook rebuild-per-iteration DIP loop of \[6\], kept as the
+/// reference [`sat_attack_report`] is measured against: every iteration
+/// encodes a fresh solver with the miter plus one IO-pinned copy pair per
+/// recorded DIP, and the key is extracted from one more fresh solver. Its
+/// report has the same fields; on a lock with a unique correct key both
+/// loops must recover exactly that key.
+///
+/// `budget` is shared by every solver of the run (key extraction runs under
+/// a re-armed copy, as in [`sat_attack_report`]); `max_iterations` caps the
+/// DIP loop. The extracted key is checked against the oracle. There is no
+/// checkpoint and no resume.
+///
+/// # Panics
+///
+/// Panics on shape mismatches or non-combinational inputs.
+pub fn scratch_reference_attack(
     locked: &Netlist,
     oracle: &Netlist,
-    options: &SatAttackOptions,
+    budget: &Budget,
+    max_iterations: usize,
 ) -> AttackReport {
-    let (mut iterations, mut conflicts, mut dips, resumed_from) = match &options.resume_from {
-        Some(cp) => (cp.iterations, cp.conflicts_spent, cp.dips.clone(), cp.iterations),
-        None => (0, 0, Vec::new(), 0),
-    };
-
+    let _span = shell_trace::span!("attack.sat");
+    assert_attackable(locked, oracle);
     let n_inputs = locked.inputs().len();
+    let mut iterations = 0usize;
+    let mut conflicts = 0u64;
+    let mut dips: Vec<(Vec<bool>, Vec<bool>)> = Vec::new();
     let mut per_dip: Vec<DipCost> = Vec::new();
-    let mut checkpoint_written = None;
 
     let stopped = loop {
-        if iterations >= options.max_iterations {
+        if iterations >= max_iterations {
             break None; // structural timeout, not a budget event
         }
         let _iter_span = shell_trace::span!("attack.sat.dip", iteration = iterations);
@@ -927,7 +880,7 @@ fn scratch_attack(
         // inputs, independent key candidates, some output pair forced to
         // differ) plus one IO-pinned copy per key set per recorded DIP.
         let mut solver = Solver::new();
-        solver.set_budget(Some(options.budget.clone()));
+        solver.set_budget(Some(budget.clone()));
         let miter = encode_miter(&mut solver, locked, locked);
         let (copy_a, copy_b) = (miter.lhs, miter.rhs);
         for (dip, response) in &dips {
@@ -941,25 +894,24 @@ fn scratch_attack(
         let delta = solver.take_delta();
         match result {
             SatResult::Unknown => {
-                // Excluded from the report, matching the checkpoint — see
-                // the incremental driver.
+                // Partial conflicts are excluded, as in the persistent loop.
                 break Some(solver.stop_reason().unwrap_or(Exhausted::Quota));
             }
             SatResult::Unsat => {
                 conflicts += delta.conflicts;
-                let (key, extract_conflicts) = extract_key(locked, &dips, options);
+                let (key, extract_conflicts) = extract_key(locked, &dips, budget);
                 conflicts += extract_conflicts;
                 return unsat_report(
                     locked,
                     oracle,
-                    options,
+                    Some(DEFAULT_VERIFY_VECTORS),
                     key,
                     iterations,
                     conflicts,
                     dips.len(),
-                    resumed_from,
+                    0,
                     per_dip,
-                    checkpoint_written,
+                    None,
                 );
             }
             SatResult::Sat => {
@@ -980,9 +932,6 @@ fn scratch_attack(
                 debug_assert_eq!(dip.len(), n_inputs);
                 let response = oracle.eval_comb(&dip);
                 dips.push((dip, response));
-                if let Some(p) = write_checkpoint(locked, options, iterations, conflicts, &dips) {
-                    checkpoint_written = Some(p);
-                }
             }
         }
     };
@@ -995,27 +944,25 @@ fn scratch_attack(
         dips_found: dips.len(),
         conflicts_spent: conflicts,
         stop: stopped,
-        resumed_from,
+        resumed_from: 0,
         per_dip,
-        checkpoint_written,
+        checkpoint_written: None,
     }
 }
 
 /// Solves for one key consistent with the recorded DIP/response pairs in a
-/// fresh solver (the [`DipMode::Scratch`] extraction path; incremental mode
-/// extracts on its persistent solver instead). Sound by the SAT attack's
-/// termination argument: once the miter is UNSAT, keys agreeing on all DIPs
-/// agree everywhere. Returns the key (if any) and the conflicts this solve
-/// spent. Runs under a *re-armed* copy of the attack budget so extraction
-/// behaves identically whether the DIP loop ran straight through or was
-/// resumed from a checkpoint.
+/// fresh solver (the extraction step of [`scratch_reference_attack`]; the
+/// persistent loop extracts on its own solver instead). Sound by the SAT
+/// attack's termination argument: once the miter is UNSAT, keys agreeing on
+/// all DIPs agree everywhere. Returns the key (if any) and the conflicts
+/// this solve spent. Runs under a *re-armed* copy of the attack budget.
 fn extract_key(
     locked: &Netlist,
     dips: &[(Vec<bool>, Vec<bool>)],
-    options: &SatAttackOptions,
+    budget: &Budget,
 ) -> (Option<Vec<bool>>, u64) {
     let mut solver = Solver::new();
-    solver.set_budget(Some(options.budget.fresh()));
+    solver.set_budget(Some(budget.fresh()));
     let copy = encode_netlist(&mut solver, locked, None, None);
     for (dip, response) in dips {
         pin_dip_copy(&mut solver, locked, &copy.keys, dip, response);
@@ -1102,20 +1049,19 @@ mod tests {
     #[test]
     fn both_modes_break_xor_locking_with_same_key() {
         // Output-XOR locking has a unique correct key, so any sound attack
-        // must recover exactly it — the strongest cross-mode agreement
-        // check available without pinning search internals.
+        // must recover exactly it — the strongest agreement check between
+        // the persistent loop and the reference loop available without
+        // pinning search internals.
         let oracle = small_oracle();
         let (locked, true_key) = xor_lock_outputs(&oracle, 5);
-        for mode in [DipMode::Incremental, DipMode::Scratch] {
-            let opts = SatAttackOptions {
-                mode,
-                ..Default::default()
-            };
-            match sat_attack(&locked, &oracle, &opts) {
-                SatAttackOutcome::Broken { key, .. } => {
-                    assert_eq!(key, true_key, "{} mode", mode.label());
-                }
-                other => panic!("{} mode: expected break, got {other:?}", mode.label()),
+        let opts = SatAttackOptions::default();
+        let persistent = sat_attack_report(&locked, &oracle, &opts);
+        let reference =
+            scratch_reference_attack(&locked, &oracle, &opts.budget, opts.max_iterations);
+        for (label, report) in [("persistent", persistent), ("reference", reference)] {
+            match report.outcome {
+                SatAttackOutcome::Broken { key, .. } => assert_eq!(key, true_key, "{label}"),
+                other => panic!("{label}: expected break, got {other:?}"),
             }
         }
     }
@@ -1197,7 +1143,6 @@ mod tests {
     fn checkpoint_json_round_trips() {
         let cp = AttackCheckpoint {
             design: "adder".to_string(),
-            mode: DipMode::Incremental,
             iterations: 2,
             conflicts_spent: 17,
             dips: vec![
@@ -1209,25 +1154,6 @@ mod tests {
         assert_eq!(parsed, cp);
         // Corrupt JSON is a typed error, not a panic.
         assert!(AttackCheckpoint::from_json(&Json::obj([("design", Json::Null)])).is_err());
-    }
-
-    #[test]
-    fn checkpoint_without_mode_reads_as_scratch() {
-        // Pre-incremental checkpoints carry no mode field; they were
-        // recorded by the scratch driver and must keep resuming as such.
-        let mut json = AttackCheckpoint {
-            design: "adder".to_string(),
-            mode: DipMode::Incremental,
-            iterations: 0,
-            conflicts_spent: 0,
-            dips: Vec::new(),
-        }
-        .to_json();
-        if let Json::Obj(fields) = &mut json {
-            fields.retain(|(k, _)| k != "mode");
-        }
-        let parsed = AttackCheckpoint::from_json(&json).unwrap();
-        assert_eq!(parsed.mode, DipMode::Scratch);
     }
 
     #[test]
@@ -1281,7 +1207,6 @@ mod tests {
         };
         assert!(checkpoint.iterations >= 1);
         assert!(checkpoint.iterations < full_iters);
-        assert_eq!(checkpoint.mode, DipMode::Incremental);
 
         // Resume and compare: same key, same totals, byte-identical JSON.
         let resumed = sat_attack_report(
@@ -1299,26 +1224,6 @@ mod tests {
             "resumed report must be byte-identical to the uninterrupted one"
         );
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    #[should_panic(expected = "recorded by a scratch run")]
-    fn resume_refuses_mode_mismatch() {
-        let oracle = small_oracle();
-        let (locked, _) = xor_lock(&oracle, 2);
-        let cp = AttackCheckpoint {
-            design: locked.name().to_string(),
-            mode: DipMode::Scratch,
-            iterations: 0,
-            conflicts_spent: 0,
-            dips: Vec::new(),
-        };
-        let opts = SatAttackOptions {
-            mode: DipMode::Incremental,
-            resume_from: Some(cp),
-            ..Default::default()
-        };
-        sat_attack_report(&locked, &oracle, &opts);
     }
 
     #[test]

@@ -2,14 +2,13 @@
 //!
 //! Two measurements against real servers on ephemeral localhost ports:
 //!
-//! * **Crash-point matrix** — a subset of the deterministic crash-point
-//!   matrix (`SHELL_CHAOS_STRIDE` picks every n-th commit step, default 5)
-//!   at worker pools of 1 and 4. Each tested point kills the server at a
-//!   durable commit step, restarts it, and byte-compares the recovered
-//!   artifacts against an uninterrupted reference. Reports the median
-//!   post-crash `Server::start` (recovery included) per pool, and the
-//!   verdicts the verify smoke greps: `torn_states` and
-//!   `report_mismatches` must both be zero.
+//! * **Crash-point matrix** — the whole deterministic crash-point matrix
+//!   (every durable commit step) at worker pools of 1 and 4. Each point
+//!   kills the server at a durable commit step, restarts it, and
+//!   byte-compares the recovered artifacts against an uninterrupted
+//!   reference. Reports the median post-crash `Server::start` (recovery
+//!   included) per pool, and the verdicts the verify smoke greps:
+//!   `torn_states` and `report_mismatches` must both be zero.
 //! * **Journaling overhead on warm cache hits** — the same lock request
 //!   served from the artifact cache by a journaled and an unjournaled
 //!   server. The write-ahead intent journal costs extra syncs on *stores*;
@@ -41,13 +40,6 @@ fn median(mut samples: Vec<u128>) -> u128 {
     samples[samples.len() / 2]
 }
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
 /// Warm-cache-hit median (ns) with journaling on or off: one cold submit
 /// to populate the cache, then repeated in-process lookups.
 fn warm_hit_ns(journaled: bool) -> u128 {
@@ -75,7 +67,8 @@ fn warm_hit_ns(journaled: bool) -> u128 {
 
 fn main() {
     trace_init();
-    let stride = env_usize("SHELL_CHAOS_STRIDE", 5);
+    // Exhaustive: the default stride of 1 walks every crash point.
+    let stride = MatrixOptions::default().stride;
 
     // --- Crash-point matrix at 1 and 4 workers --------------------------
     let mut matrix_rows = Vec::new();
@@ -85,7 +78,6 @@ fn main() {
         let root = state_dir(&format!("matrix{workers}"));
         let options = MatrixOptions {
             workers,
-            stride,
             ..MatrixOptions::default()
         };
         let report = run_matrix(&root, &options).expect("matrix runs");

@@ -62,14 +62,27 @@ pub fn with_jobs<R>(jobs: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// Serializes this crate's tests that set the process-wide override or
+/// assert on the worker count it yields: cargo runs `#[test]` functions on
+/// parallel threads, and one test's `with_jobs` would otherwise leak into
+/// another's `current_jobs`.
+#[cfg(test)]
+pub(crate) fn override_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A panicking test poisons the lock; `with_jobs` has restored the
+    // override by then, so the next test can proceed.
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // One test owns all override scenarios: the override is process-global
-    // and cargo runs #[test] functions concurrently.
+    // One test owns all override scenarios; the crate's other override
+    // users wait on `override_lock`.
     #[test]
     fn override_and_restore() {
+        let _serial = override_lock();
         let ambient = current_jobs();
         assert!(ambient >= 1);
 

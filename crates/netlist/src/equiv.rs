@@ -1,6 +1,7 @@
 //! Functional equivalence checking (the JasperGold stand-in).
 //!
-//! Four strategies behind one entry point ([`equiv`] with a [`Method`]):
+//! Three simulation strategies behind one entry point ([`equiv`] with a
+//! [`Method`]):
 //!
 //! * [`Method::Exhaustive`] — walks every input pattern; exact, for small
 //!   combinational cones (≤ 22 inputs).
@@ -8,24 +9,24 @@
 //!   designs; can only *find* counterexamples, never prove equivalence.
 //! * [`Method::SequentialRandom`] — lockstep random simulation from reset
 //!   for sequential designs.
-//! * [`Method::Sat`] — a SAT miter: exact for combinational designs of any
-//!   width. The CNF machinery lives in `shell-sat`/`shell-verify` (this
-//!   crate sits below both), so the backend is *installed* at startup via
-//!   [`install_sat_backend`] — `shell_verify::install()` does it — and
-//!   [`Method::Sat`] reports [`EquivResult::Incomparable`] until then.
 //!
-//! All strategies share one shape-check ([`shape_check`]) and one
+//! Exact proofs of wide combinational designs are a SAT miter, which needs
+//! the CNF machinery of `shell-sat` (a crate above this one): callers that
+//! want a proof call `shell_sat::equiv_sat` directly.
+//!
+//! Each check compiles one [`Simulator`] per side and reuses it for every
+//! pattern. All strategies share one shape-check ([`shape_check`]) and one
 //! counterexample report path, so a port-count or key-width mismatch is
 //! always an `Incomparable` (never a panic deep inside a simulator) and a
 //! mismatch is always reported with the full input assignment plus both
-//! output vectors.
+//! output vectors; `shell_sat::equiv_sat` runs the same [`shape_check`]
+//! and reports through the same [`EquivResult`].
 //!
 //! The historical free functions ([`equiv_exhaustive`], [`equiv_random`],
 //! [`equiv_sequential_random`]) remain as thin wrappers.
 
 use crate::netlist::Netlist;
 use crate::sim::Simulator;
-use std::sync::OnceLock;
 
 /// Outcome of an equivalence check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,8 +46,8 @@ pub enum EquivResult {
         rhs: Vec<bool>,
     },
     /// The designs are structurally incomparable (port count or key width
-    /// mismatch), or the requested method cannot run (no SAT backend, a
-    /// combinational cycle, a solver budget exhausted).
+    /// mismatch), or the requested method cannot run (a combinational
+    /// cycle, a solver budget exhausted).
     Incomparable(String),
 }
 
@@ -81,34 +82,13 @@ pub enum Method {
         /// PRNG seed.
         seed: u64,
     },
-    /// SAT miter through the installed backend ([`install_sat_backend`]).
-    Sat,
-}
-
-/// Signature of a pluggable SAT equivalence backend:
-/// `(lhs, rhs, lhs_key, rhs_key) → result`.
-pub type SatBackend = fn(&Netlist, &Netlist, &[bool], &[bool]) -> EquivResult;
-
-static SAT_BACKEND: OnceLock<SatBackend> = OnceLock::new();
-
-/// Installs the process-wide SAT equivalence backend used by
-/// [`Method::Sat`]. The first installation wins (subsequent calls return
-/// `false` and keep the original); installing the same function twice is
-/// reported as success.
-pub fn install_sat_backend(backend: SatBackend) -> bool {
-    SAT_BACKEND.set(backend).is_ok() || SAT_BACKEND.get() == Some(&backend)
-}
-
-/// `true` when a SAT backend has been installed.
-pub fn sat_backend_installed() -> bool {
-    SAT_BACKEND.get().is_some()
 }
 
 /// Checks that `a` and `b` are comparable: equal primary-input and output
 /// counts, and key vectors matching each design's key-input count. Returns
 /// the [`EquivResult::Incomparable`] to report, or `None` when the shapes
-/// line up. Every equivalence strategy — including the SAT backend in
-/// `shell-verify` — runs this exact check first.
+/// line up. Every equivalence strategy — including the SAT miter in
+/// `shell-sat` — runs this exact check first.
 pub fn shape_check(
     a: &Netlist,
     b: &Netlist,
@@ -154,17 +134,17 @@ fn report(inputs: Vec<bool>, lhs: Vec<bool>, rhs: Vec<bool>) -> EquivResult {
     EquivResult::Counterexample { inputs, lhs, rhs }
 }
 
-/// Compares the designs on one combinational pattern, reporting through the
-/// shared path on mismatch.
+/// Compares the designs on one combinational pattern through their
+/// compiled simulators, reporting through the shared path on mismatch.
 fn compare_pattern(
-    a: &Netlist,
-    b: &Netlist,
+    sim_a: &mut Simulator<'_>,
+    sim_b: &mut Simulator<'_>,
     lhs_key: &[bool],
     rhs_key: &[bool],
     pattern: &[bool],
 ) -> Option<EquivResult> {
-    let lhs = a.eval_comb_with_key(pattern, lhs_key);
-    let rhs = b.eval_comb_with_key(pattern, rhs_key);
+    let lhs = sim_a.settle(pattern, lhs_key);
+    let rhs = sim_b.settle(pattern, rhs_key);
     if lhs != rhs {
         Some(report(pattern.to_vec(), lhs, rhs))
     } else {
@@ -182,8 +162,8 @@ fn compare_pattern(
 ///
 /// Propagates the per-method limits: [`Method::Exhaustive`] panics on more
 /// than 22 inputs, and the combinational methods panic on sequential
-/// designs (use [`Method::SequentialRandom`] or the bounded unroller in
-/// `shell-verify`).
+/// designs (use [`Method::SequentialRandom`] or the bounded unroller
+/// `shell_sat::equiv_sat_bounded`).
 pub fn equiv(
     a: &Netlist,
     b: &Netlist,
@@ -199,6 +179,7 @@ pub fn equiv(
             let n = a.inputs().len();
             assert!(n <= 22, "exhaustive equivalence limited to 22 inputs");
             assert!(a.is_combinational() && b.is_combinational());
+            let (mut sim_a, mut sim_b) = (Simulator::new(a), Simulator::new(b));
             // n == 0 still walks the single empty pattern: two constant
             // circuits are compared on their (only) evaluation.
             let mut pattern = vec![false; n];
@@ -206,7 +187,9 @@ pub fn equiv(
                 for (i, p) in pattern.iter_mut().enumerate() {
                     *p = (bits >> i) & 1 == 1;
                 }
-                if let Some(cex) = compare_pattern(a, b, lhs_key, rhs_key, &pattern) {
+                if let Some(cex) =
+                    compare_pattern(&mut sim_a, &mut sim_b, lhs_key, rhs_key, &pattern)
+                {
                     return cex;
                 }
             }
@@ -214,11 +197,14 @@ pub fn equiv(
         }
         Method::Random { vectors, seed } => {
             assert!(a.is_combinational() && b.is_combinational());
+            let (mut sim_a, mut sim_b) = (Simulator::new(a), Simulator::new(b));
             let n = a.inputs().len();
             let mut rng = XorShift::new(seed);
             for _ in 0..vectors {
                 let pattern: Vec<bool> = (0..n).map(|_| rng.next_bool()).collect();
-                if let Some(cex) = compare_pattern(a, b, lhs_key, rhs_key, &pattern) {
+                if let Some(cex) =
+                    compare_pattern(&mut sim_a, &mut sim_b, lhs_key, rhs_key, &pattern)
+                {
                     return cex;
                 }
             }
@@ -241,12 +227,6 @@ pub fn equiv(
             }
             EquivResult::Equivalent
         }
-        Method::Sat => match SAT_BACKEND.get() {
-            Some(backend) => backend(a, b, lhs_key, rhs_key),
-            None => EquivResult::Incomparable(
-                "no SAT backend installed (call shell_verify::install first)".into(),
-            ),
-        },
     }
 }
 
@@ -256,7 +236,7 @@ pub fn equiv(
 /// # Panics
 ///
 /// Panics if either design is sequential or has more than 22 primary inputs
-/// (use [`equiv_random`] or [`Method::Sat`] instead).
+/// (use [`equiv_random`] or `shell_sat::equiv_sat` instead).
 pub fn equiv_exhaustive(
     a: &Netlist,
     b: &Netlist,
@@ -505,21 +485,6 @@ mod tests {
                 assert_ne!(lhs, rhs);
             }
             other => panic!("expected counterexample, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn sat_method_without_backend_is_incomparable() {
-        // The backend registry is process-global; this test only asserts
-        // the uninstalled message shape when nothing was installed yet, and
-        // otherwise that Sat dispatches somewhere.
-        match equiv(&and2(), &and2_via_nand(), &[], &[], Method::Sat) {
-            EquivResult::Equivalent => assert!(sat_backend_installed()),
-            EquivResult::Incomparable(msg) => {
-                assert!(!sat_backend_installed());
-                assert!(msg.contains("SAT backend"), "{msg}");
-            }
-            other => panic!("unexpected {other:?}"),
         }
     }
 

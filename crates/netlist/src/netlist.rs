@@ -1,6 +1,7 @@
 //! The flat gate-level netlist container.
 
 use crate::cell::CellKind;
+use crate::sim::Simulator;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -539,7 +540,9 @@ impl Netlist {
         self.eval_comb_with_key(pi, &[])
     }
 
-    /// Evaluates a combinational netlist with explicit key bits.
+    /// Evaluates a combinational netlist with explicit key bits, through a
+    /// one-shot [`Simulator`]. Callers evaluating many patterns should
+    /// build the [`Simulator`] once and call [`Simulator::settle`] instead.
     ///
     /// # Panics
     ///
@@ -548,25 +551,7 @@ impl Netlist {
         assert_eq!(pi.len(), self.inputs.len(), "primary input width mismatch");
         assert_eq!(key.len(), self.key_inputs.len(), "key width mismatch");
         assert!(self.is_combinational(), "netlist has sequential cells");
-        let order = self.topo_order().expect("combinational cycle");
-        let mut values = vec![false; self.nets.len()];
-        for (i, &net) in self.inputs.iter().enumerate() {
-            values[net.index()] = pi[i];
-        }
-        for (i, &net) in self.key_inputs.iter().enumerate() {
-            values[net.index()] = key[i];
-        }
-        let mut scratch: Vec<bool> = Vec::with_capacity(8);
-        for id in order {
-            let c = &self.cells[id.index()];
-            scratch.clear();
-            scratch.extend(c.inputs.iter().map(|n| values[n.index()]));
-            values[c.output.index()] = c.kind.eval_comb(&scratch);
-        }
-        self.outputs
-            .iter()
-            .map(|(_, n)| values[n.index()])
-            .collect()
+        Simulator::new(self).settle(pi, key)
     }
 }
 

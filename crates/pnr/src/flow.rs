@@ -6,11 +6,9 @@ use crate::place::{self, Slot};
 use crate::route::{RouteError, RouteRequest, Router, SinkKind, SourceKind};
 use shell_fabric::{Bitstream, Fabric, FabricConfig, FabricUsage, IoMap};
 use shell_guard::Budget;
-use shell_netlist::equiv::{
-    equiv, equiv_exhaustive, equiv_random, equiv_sequential_random, sat_backend_installed,
-    EquivResult, Method,
-};
+use shell_netlist::equiv::{equiv_exhaustive, equiv_random, equiv_sequential_random, EquivResult};
 use shell_netlist::{CellId, CellKind, NetId, Netlist};
+use shell_sat::equiv_sat;
 use shell_synth::lut_map_hybrid;
 use std::collections::HashMap;
 use std::fmt;
@@ -950,10 +948,9 @@ fn verify(reference: &Netlist, result: &PnrResult) -> Result<(), PnrError> {
         equiv_sequential_random(reference, &configured, &[], &[], 64, 0xE0)
     } else if reference.inputs().len() <= 12 {
         equiv_exhaustive(reference, &configured, &[], &[])
-    } else if sat_backend_installed() {
-        // Wide combinational cone and a SAT backend is registered (see
-        // `shell_verify::install`): a miter proof replaces sampling.
-        match equiv(reference, &configured, &[], &[], Method::Sat) {
+    } else {
+        // Wide combinational cone: a miter proof, not sampling.
+        match equiv_sat(reference, &configured, &[], &[]) {
             // Budget exhaustion or unsupported structure: fall back to
             // Monte Carlo rather than failing the flow.
             EquivResult::Incomparable(_) => {
@@ -961,8 +958,6 @@ fn verify(reference: &Netlist, result: &PnrResult) -> Result<(), PnrError> {
             }
             decided => decided,
         }
-    } else {
-        equiv_random(reference, &configured, &[], &[], 512, 0xE0)
     };
     match outcome {
         EquivResult::Equivalent => Ok(()),
@@ -1186,6 +1181,37 @@ mod tests {
             shell_fabric::to_configured_netlist(&res.fabric, &res.bitstream, &res.io_map)
                 .unwrap();
         assert!(equiv_random(&n, &configured, &[], &[], 600, 4).is_equivalent());
+    }
+
+    /// 20-input cone `o = AND(x[from..20])`; `from = 1` ignores `x0`.
+    fn and_cone(from: usize) -> Netlist {
+        let mut b = NetlistBuilder::new("and20");
+        let x = b.input_bus("x", 20);
+        let o = b.reduce(CellKind::And, &x[from..]);
+        b.output("o", o);
+        b.finish()
+    }
+
+    #[test]
+    fn post_route_check_refuses_a_one_pattern_difference() {
+        // AND(x0..x19) and AND(x1..x19) differ only on x0 = 0, x1..x19 = 1:
+        // one pattern of 2^20, which 512 random vectors all but surely
+        // miss. The wide-cone check must prove, not sample.
+        let n = and_cone(0);
+        let mapped = lut_map(&n, 4).expect("acyclic").netlist;
+        let options = PnrOptions {
+            verify: false,
+            ..PnrOptions::default()
+        };
+        let res =
+            place_and_route(&mapped, FabricConfig::fabulous_style(false), &options).expect("fits");
+        verify(&n, &res).expect("the routed cone is the design itself");
+        match verify(&and_cone(1), &res) {
+            Err(PnrError::VerificationFailed(why)) => {
+                assert!(why.contains("Counterexample"), "{why}")
+            }
+            other => panic!("expected VerificationFailed, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! SAT miter equivalence checking — the exact backend behind
-//! [`Method::Sat`](shell_netlist::Method).
+//! SAT miter equivalence checking — the exact counterpart of the
+//! simulation strategies in [`shell_netlist::equiv`](mod@shell_netlist::equiv).
 //!
 //! [`equiv_sat`] proves or refutes combinational equivalence of two designs
-//! under pinned key vectors: it builds one [`shell_sat::encode_miter`] (the
+//! under pinned key vectors: it builds one [`encode_miter`] (the
 //! same CNF the oracle-guided SAT attack uses), binds both key vectors via
 //! assumptions, and reads UNSAT as a proof. A model is replayed through
 //! `eval_comb_with_key` on both sides before it is reported, so a
@@ -15,10 +15,10 @@
 //! sides and per-side keys across frames. UNSAT means no input sequence of
 //! up to `depth` cycles from reset distinguishes the designs.
 
-use shell_netlist::{shape_check, CellKind, EquivResult, Netlist, Simulator};
-use shell_sat::{
+use crate::{
     constrain_some_output_differs, encode_miter, encode_netlist, Lit, SatResult, Solver, Var,
 };
+use shell_netlist::{shape_check, CellKind, EquivResult, Netlist, Simulator};
 
 /// Conflict budget per solver call. Fabric-mapped fuzz samples and the
 /// ≤16-input acceptance benchmarks decide within a few hundred conflicts;
@@ -54,9 +54,7 @@ fn key_assumptions(
 }
 
 /// Exact combinational equivalence of `a` under `lhs_key` vs `b` under
-/// `rhs_key`, by SAT miter. This function has the
-/// [`shell_netlist::SatBackend`] signature and is what
-/// [`crate::install`] registers for [`Method::Sat`](shell_netlist::Method).
+/// `rhs_key`, by SAT miter.
 ///
 /// Returns [`EquivResult::Incomparable`] (never panics) for shape
 /// mismatches, sequential designs (use [`equiv_sat_bounded`]),

@@ -13,8 +13,13 @@
 //!   [`shell_netlist::Netlist`] to CNF, with variable maps for primary
 //!   inputs, key inputs and outputs (the raw material of the attack miter),
 //! * [`miter`] — the shared miter construction over two encoded copies:
-//!   the SAT attack's DIP mining and `shell-verify`'s equivalence proofs
-//!   both build on [`encode_miter`].
+//!   the SAT attack's DIP mining and the equivalence proofs below both
+//!   build on [`encode_miter`],
+//! * [`equiv_sat()`] — exact combinational equivalence by SAT miter (UNSAT
+//!   is a proof; a model is replayed through simulation before it is
+//!   reported), and [`equiv_sat_bounded`], bounded sequential equivalence
+//!   by time-frame expansion from reset. PnR's post-route check, the flow
+//!   fuzzer and the verification tests all call these directly.
 //!
 //! # Example
 //!
@@ -34,11 +39,13 @@
 //! ```
 
 pub mod cnf;
+pub mod equiv_sat;
 pub mod miter;
 pub mod solver;
 pub mod tseitin;
 
 pub use cnf::{Cnf, Lit, Var};
+pub use equiv_sat::{equiv_sat, equiv_sat_bounded};
 pub use miter::{constrain_some_output_differs, encode_miter, encode_miter_gated, Miter};
 pub use solver::{SatResult, Solver, SolverStats};
 pub use tseitin::{encode_netlist, CircuitCnf};

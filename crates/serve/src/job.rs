@@ -308,7 +308,6 @@ mod tests {
 
     #[test]
     fn lock_runs_are_deterministic_and_cacheable() {
-        shell_verify::install();
         let job = resolved(JobRequest::default());
         let a = run(&job, &Budget::unlimited(), None, None, None, shell_chaos::real()).unwrap();
         let b = run(&job, &Budget::unlimited(), None, None, None, shell_chaos::real()).unwrap();
@@ -322,7 +321,6 @@ mod tests {
 
     #[test]
     fn attack_run_breaks_the_xor_lock_and_reports_the_key() {
-        shell_verify::install();
         let job = resolved(JobRequest {
             kind: crate::request::JobKind::Attack,
             circuit: Some(CircuitSpec::RippleAdder { width: 3 }),
@@ -342,7 +340,6 @@ mod tests {
 
     #[test]
     fn cancelled_runs_are_not_cacheable() {
-        shell_verify::install();
         let job = resolved(JobRequest {
             kind: crate::request::JobKind::Attack,
             circuit: Some(CircuitSpec::RippleAdder { width: 3 }),
@@ -357,7 +354,6 @@ mod tests {
 
     #[test]
     fn verify_job_proves_the_default_roundtrip() {
-        shell_verify::install();
         let job = resolved(JobRequest {
             kind: crate::request::JobKind::Verify,
             ..JobRequest::default()
@@ -371,7 +367,6 @@ mod tests {
 
     #[test]
     fn explore_job_reports_pareto_and_pick() {
-        shell_verify::install();
         let job = resolved(JobRequest {
             kind: crate::request::JobKind::Explore,
             conflict_quota: Some(5_000),
@@ -392,7 +387,6 @@ mod tests {
 
     #[test]
     fn explore_job_resumes_from_journal() {
-        shell_verify::install();
         let dir = std::env::temp_dir().join(format!(
             "shell_serve_explore_journal_{}",
             std::process::id()
@@ -423,7 +417,6 @@ mod tests {
 
     #[test]
     fn fuzz_job_reports_sample_counts() {
-        shell_verify::install();
         let job = resolved(JobRequest {
             kind: crate::request::JobKind::Fuzz,
             circuit: None,

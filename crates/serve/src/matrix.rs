@@ -44,8 +44,8 @@ pub struct MatrixOptions {
     pub seed: u64,
     /// Worker threads per server instance (`0` = `SHELL_JOBS` sizing).
     pub workers: usize,
-    /// Test every `stride`-th crash point (`1` = exhaustive). The smoke
-    /// test uses a stride to bound wall-clock; CI nightlies run stride 1.
+    /// Test every `stride`-th crash point (`1` = exhaustive). The unit
+    /// tests use a stride to bound wall-clock; `bench_chaos` runs stride 1.
     pub stride: usize,
     /// The workload submitted to every server instance.
     pub requests: Vec<JobRequest>,
@@ -327,7 +327,6 @@ mod tests {
 
     #[test]
     fn fuzz_only_matrix_is_consistent_at_a_stride() {
-        shell_verify::install();
         let root = temp_root("fuzz");
         let options = MatrixOptions {
             workers: 1,

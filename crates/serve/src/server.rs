@@ -216,13 +216,12 @@ impl Server {
     ///
     /// Bind and state-directory I/O errors.
     pub fn start(config: ServerConfig) -> std::io::Result<Server> {
-        // The service depends on trace counters for progress and on the
-        // SAT equivalence backend for verify jobs; make both unconditional
-        // so a bare `shell_serve serve` behaves like the test harness.
+        // The service depends on trace counters for progress; make them
+        // unconditional so a bare `shell_serve serve` behaves like the test
+        // harness.
         if !shell_trace::enabled() {
             shell_trace::install(shell_trace::Tracer::new());
         }
-        shell_verify::install();
 
         for sub in ["jobs", "results", "checkpoints", "cache"] {
             config.io.create_dir_all(&config.state_dir.join(sub))?;

@@ -183,17 +183,18 @@ for verdict in roundtrip_ok tamper_corrected double_detected \
 done
 echo "ok"
 
-# Incremental-SAT smoke: the attack bench runs both DIP-loop modes on a
-# table-1-style circuit and self-checks two invariants — the persistent
-# solver recovers the same (unique) key as the from-scratch baseline, and
-# its summed per-DIP conflicts are no worse. Both job counts, since the
+# Incremental-SAT smoke: the attack bench runs the persistent-solver
+# attack and the rebuild-per-iteration reference loop on a table-1-style
+# circuit and self-checks two invariants — the persistent solver recovers
+# the same (unique) key as the reference, and its summed per-DIP
+# conflicts are no worse. Both job counts, since the
 # attack must be scheduling-independent. (The artifact carries wall times,
 # so whole-file cmp would be flaky; the verdict booleans are the contract.)
-echo "== bench_sat smoke: incremental vs scratch, SHELL_JOBS=1 and 4 =="
+echo "== bench_sat smoke: incremental vs reference, SHELL_JOBS=1 and 4 =="
 for jobs in 1 4; do
     SHELL_JOBS=$jobs cargo run -q --release --offline --bin bench_sat >/dev/null
     grep -q '"same_key": true' results/BENCH_sat.json || {
-        echo "bench_sat (SHELL_JOBS=$jobs): modes disagree on the key" >&2
+        echo "bench_sat (SHELL_JOBS=$jobs): incremental and reference disagree on the key" >&2
         exit 1
     }
     grep -q '"no_worse": true' results/BENCH_sat.json || {
@@ -333,14 +334,14 @@ cmp "$serve_tmp/attack_ref.json" "$serve_tmp/attack_resumed.json" || {
 wait "$resume_pid" || true
 echo "ok"
 
-# Chaos smoke: a subset of the deterministic crash-point matrix (every
-# 7th durable commit step) at worker pools of 1 and 4 — the server is
-# killed at each selected step under injected IO faults, restarted, and
-# its recovered artifacts byte-compared against an uninterrupted run.
+# Chaos smoke: the whole deterministic crash-point matrix (every durable
+# commit step) at worker pools of 1 and 4 — the server is killed at each
+# step under injected IO faults, restarted, and its recovered artifacts
+# byte-compared against an uninterrupted run.
 # Zero torn states and zero report mismatches are the contract, and the
 # write-ahead journal must not tax warm cache hits by more than 10%.
-echo "== chaos smoke: crash-point matrix subset, journal overhead =="
-SHELL_CHAOS_STRIDE=7 cargo run -q --release --offline --bin bench_chaos >/dev/null
+echo "== chaos smoke: exhaustive crash-point matrix, journal overhead =="
+cargo run -q --release --offline --bin bench_chaos >/dev/null
 grep -q '"torn_states": 0' results/BENCH_chaos.json || {
     echo "chaos matrix left torn state on disk:" >&2
     grep '"torn_states"' results/BENCH_chaos.json >&2

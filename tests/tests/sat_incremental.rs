@@ -1,22 +1,23 @@
-//! Cross-crate pins for the incremental SAT attack: mode agreement,
-//! run-to-run determinism, and the interrupt/resume accounting contract in
-//! both [`DipMode`]s.
+//! Cross-crate pins for the incremental SAT attack: agreement with the
+//! rebuild-per-iteration reference loop ([`scratch_reference_attack`]),
+//! run-to-run determinism, and the interrupt/resume accounting contract.
 //!
 //! The load-bearing property: a resumed attack must produce **byte-identical
-//! report JSON** to the same attack run uninterrupted — incremental mode by
-//! deterministic replay of the DIP prefix, scratch mode by rebuild-purity
-//! plus [`Budget::with_spent`] pre-charging the quota with the checkpointed
-//! spend. These tests pin that equality at completion *and* at budget
-//! exhaustion, where the old accounting drifted (partial conflicts of the
-//! interrupted iteration leaked into the report but not the checkpoint).
+//! report JSON** to the same attack run uninterrupted, by deterministic
+//! replay of the DIP prefix. These tests pin that equality at completion
+//! *and* at budget exhaustion, where the old accounting drifted (partial
+//! conflicts of the interrupted iteration leaked into the report but not
+//! the checkpoint), and for checkpoints written in the older format that
+//! still carries a `mode` field.
 
 use shell_attacks::{
-    sat_attack_report, xor_lock_outputs, AttackCheckpoint, AttackReport, DipMode,
+    sat_attack_report, scratch_reference_attack, xor_lock_outputs, AttackCheckpoint, AttackReport,
     SatAttackOptions, SatAttackOutcome,
 };
 use shell_circuits::ripple_adder;
 use shell_guard::{Budget, Exhausted};
 use shell_netlist::{CellKind, NetId, Netlist};
+use shell_util::Json;
 
 /// A point lock (see `bench_sat`): key bit `i` is observable only on inputs
 /// whose `prefix_bits`-wide prefix equals `i`, so the attack needs one DIP
@@ -72,12 +73,10 @@ fn broken_key(r: &AttackReport) -> &[bool] {
 fn interrupt_mid_flight(
     locked: &Netlist,
     oracle: &Netlist,
-    mode: DipMode,
     cp_path: &std::path::Path,
 ) -> (u64, AttackCheckpoint) {
     for quota in 1..10_000 {
         let opts = SatAttackOptions {
-            mode,
             budget: Budget::unlimited().with_quota(quota),
             checkpoint_path: Some(cp_path.to_path_buf()),
             ..Default::default()
@@ -106,21 +105,25 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// The rebuild-per-iteration reference attack under the default options.
+fn reference_report(locked: &Netlist, oracle: &Netlist) -> AttackReport {
+    let opts = SatAttackOptions::default();
+    scratch_reference_attack(locked, oracle, &opts.budget, opts.max_iterations)
+}
+
 #[test]
 fn both_modes_recover_the_unique_key() {
+    // The persistent attack and the reference loop must both recover the
+    // unique planted key.
     let oracle = ripple_adder(3);
     let (locked, true_key) = xor_lock_outputs(&oracle, 4);
-    for mode in [DipMode::Incremental, DipMode::Scratch] {
-        let report = sat_attack_report(
-            &locked,
-            &oracle,
-            &SatAttackOptions {
-                mode,
-                ..Default::default()
-            },
-        );
-        assert_eq!(broken_key(&report), true_key, "{} mode", mode.label());
-    }
+    let persistent = sat_attack_report(&locked, &oracle, &SatAttackOptions::default());
+    assert_eq!(broken_key(&persistent), true_key, "persistent attack");
+    assert_eq!(
+        broken_key(&reference_report(&locked, &oracle)),
+        true_key,
+        "reference"
+    );
 }
 
 #[test]
@@ -149,9 +152,9 @@ fn incremental_resume_matches_uninterrupted_at_exhaustion() {
     let dir = tmp_dir("inc_exhaust");
     let cp_path = dir.join("cp.json");
 
-    let (q1, cp) = interrupt_mid_flight(&locked, &oracle, DipMode::Incremental, &cp_path);
+    let (q1, cp) = interrupt_mid_flight(&locked, &oracle, &cp_path);
     // A larger quota that still exhausts, strictly past the checkpoint.
-    let q2 = loop_quota_past(&locked, &oracle, DipMode::Incremental, q1, cp.iterations);
+    let q2 = loop_quota_past(&locked, &oracle, q1, cp.iterations);
 
     let uninterrupted = sat_attack_report(
         &locked,
@@ -161,7 +164,7 @@ fn incremental_resume_matches_uninterrupted_at_exhaustion() {
             ..Default::default()
         },
     );
-    // Incremental resume replays the prefix from iteration 0, re-spending
+    // Resume replays the prefix from iteration 0, re-spending
     // the same conflicts from the same quota — so a plain with_quota(q2)
     // budget reproduces the uninterrupted trajectory exactly.
     let resumed = sat_attack_report(
@@ -179,68 +182,43 @@ fn incremental_resume_matches_uninterrupted_at_exhaustion() {
 }
 
 #[test]
-fn scratch_resume_with_spent_matches_uninterrupted_at_exhaustion() {
+fn checkpoint_with_retired_mode_field_resumes_identically() {
+    // Checkpoints written before the DIP loop had a single mode carry
+    // `"mode": "incremental"` right after the design name. They must load
+    // (the field is ignored) and resume to the uninterrupted report.
     let oracle = ripple_adder(3);
     let (locked, _) = point_lock(&oracle, 3);
-    let dir = tmp_dir("scr_exhaust");
+    let dir = tmp_dir("retired_mode");
     let cp_path = dir.join("cp.json");
 
-    let (q1, cp) = interrupt_mid_flight(&locked, &oracle, DipMode::Scratch, &cp_path);
-    let q2 = loop_quota_past(&locked, &oracle, DipMode::Scratch, q1, cp.iterations);
-
-    let uninterrupted = sat_attack_report(
-        &locked,
-        &oracle,
-        &SatAttackOptions {
-            mode: DipMode::Scratch,
-            budget: Budget::unlimited().with_quota(q2),
-            ..Default::default()
-        },
+    let full = sat_attack_report(&locked, &oracle, &SatAttackOptions::default());
+    assert!(full.outcome.is_broken());
+    let (_, cp) = interrupt_mid_flight(&locked, &oracle, &cp_path);
+    let mut json = cp.to_json();
+    if let Json::Obj(fields) = &mut json {
+        fields.insert(
+            1,
+            ("mode".to_string(), Json::Str("incremental".to_string())),
+        );
+    }
+    let old_format = json.to_string_pretty();
+    assert!(
+        old_format.contains("\"mode\": \"incremental\""),
+        "{old_format}"
     );
-    // Scratch resume skips the prefix entirely, so the quota must be
-    // pre-charged with the checkpointed spend for the exhaustion point to
-    // line up — that is what Budget::with_spent is for.
+    std::fs::write(&cp_path, old_format).expect("write old-format checkpoint");
+
+    let loaded = AttackCheckpoint::load(&cp_path).expect("old-format checkpoint loads");
+    assert_eq!(loaded, cp);
     let resumed = sat_attack_report(
         &locked,
         &oracle,
         &SatAttackOptions {
-            mode: DipMode::Scratch,
-            budget: Budget::unlimited().with_quota(q2).with_spent(cp.conflicts_spent),
-            resume_from: Some(cp.clone()),
+            resume_from: Some(loaded),
             ..Default::default()
         },
     );
     assert_eq!(resumed.resumed_from, cp.iterations);
-    assert_eq!(report_bytes(&resumed), report_bytes(&uninterrupted));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn scratch_resume_to_completion_matches_uninterrupted() {
-    let oracle = ripple_adder(3);
-    let (locked, _) = point_lock(&oracle, 3);
-    let dir = tmp_dir("scr_complete");
-    let cp_path = dir.join("cp.json");
-
-    let full = sat_attack_report(
-        &locked,
-        &oracle,
-        &SatAttackOptions {
-            mode: DipMode::Scratch,
-            ..Default::default()
-        },
-    );
-    assert!(full.outcome.is_broken());
-    let (_, cp) = interrupt_mid_flight(&locked, &oracle, DipMode::Scratch, &cp_path);
-    let resumed = sat_attack_report(
-        &locked,
-        &oracle,
-        &SatAttackOptions {
-            mode: DipMode::Scratch,
-            resume_from: Some(cp),
-            ..Default::default()
-        },
-    );
     assert_eq!(report_bytes(&resumed), report_bytes(&full));
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -248,41 +226,28 @@ fn scratch_resume_to_completion_matches_uninterrupted() {
 #[test]
 fn incremental_spends_no_more_dip_conflicts_than_scratch() {
     // The point of the persistent solver: carried learned clauses must not
-    // make the attack more expensive. Pin the bench_sat invariant at test
-    // scale so a regression fails fast, not just in the bench artifact.
+    // make the attack more expensive than the rebuild-per-iteration
+    // reference. Pin the bench_sat invariant at test scale so a regression
+    // fails fast, not just in the bench artifact. Both loops must also
+    // agree on the recovered key.
     let oracle = ripple_adder(3);
     let (locked, _) = point_lock(&oracle, 3);
-    let dip_total = |mode: DipMode| {
-        let r = sat_attack_report(
-            &locked,
-            &oracle,
-            &SatAttackOptions {
-                mode,
-                ..Default::default()
-            },
-        );
-        assert!(r.outcome.is_broken(), "{} mode", mode.label());
-        r.per_dip.iter().map(|d| d.conflicts).sum::<u64>()
-    };
-    assert!(dip_total(DipMode::Incremental) <= dip_total(DipMode::Scratch));
+    let persistent = sat_attack_report(&locked, &oracle, &SatAttackOptions::default());
+    let reference = reference_report(&locked, &oracle);
+    assert_eq!(broken_key(&persistent), broken_key(&reference));
+    let dip_total = |r: &AttackReport| r.per_dip.iter().map(|d| d.conflicts).sum::<u64>();
+    assert!(dip_total(&persistent) <= dip_total(&reference));
 }
 
 /// Finds a quota `> from` at which the attack still exhausts but records
 /// strictly more iterations than `past_iterations` (so the resumed segment
 /// is non-empty on both sides of the comparison).
-fn loop_quota_past(
-    locked: &Netlist,
-    oracle: &Netlist,
-    mode: DipMode,
-    from: u64,
-    past_iterations: usize,
-) -> u64 {
+fn loop_quota_past(locked: &Netlist, oracle: &Netlist, from: u64, past_iterations: usize) -> u64 {
     for quota in (from + 1)..20_000 {
         let report = sat_attack_report(
             locked,
             oracle,
             &SatAttackOptions {
-                mode,
                 budget: Budget::unlimited().with_quota(quota),
                 ..Default::default()
             },
